@@ -21,6 +21,10 @@ traffic          ``bench_traffic --quick --check`` twice: the       yes
                  bench's own p99 / rejection-rate / speedup gates,
                  plus byte-identical JSON across the two runs (the
                  seeded-traffic determinism contract)
+traffic-full     full (10^4-request) ``bench_traffic --check``,     no
+                 byte-compared with the committed
+                 ``benchmarks/results/BENCH_traffic.json``: any
+                 scheduler change that reorders a dispatch shows
 macro-gates      ``bench_transient --quick --check`` twice: the     yes
                  end-to-end reuse-multiple gate of the transient
                  sequence workload (>= 3x over the no-reuse
@@ -72,8 +76,8 @@ SUMMARY = os.path.join(ROOT, "ci_summary.json")
 FAST_STAGES = ("lint", "tier1", "plan-equivalence", "perf-gates",
                "traffic", "macro-gates", "trace-gate", "determinism")
 ALL_STAGES = ("lint", "tier1", "slow", "coverage", "plan-equivalence",
-              "perf-gates", "traffic", "macro-gates", "trace-gate",
-              "determinism")
+              "perf-gates", "traffic", "traffic-full", "macro-gates",
+              "trace-gate", "determinism")
 #: stages retried once on failure (shell out to bench subprocesses)
 BENCH_GATE_STAGES = ("perf-gates", "macro-gates")
 
@@ -270,6 +274,36 @@ def stage_traffic() -> dict:
         return {"ok": True}
 
 
+def stage_traffic_full() -> dict:
+    """Full traffic bench, byte-compared with its committed payload.
+
+    The committed ``BENCH_traffic.json`` is the full (10^4-request) run;
+    regenerating it must reproduce it byte for byte, so a scheduler
+    change that moves one dispatch fails here.  About 20 s on two cores
+    with one BLAS thread; it runs in the nightly set.
+    """
+    committed = os.path.join(ROOT, "benchmarks", "results",
+                             "BENCH_traffic.json")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "traffic_full.json")
+        res = _run([sys.executable,
+                    os.path.join(ROOT, "benchmarks", "bench_traffic.py"),
+                    "--check", "--out", path])
+        if not res["ok"]:
+            return res
+        with open(path, "rb") as fh:
+            fresh = fh.read()
+    with open(committed, "rb") as fh:
+        expected = fh.read()
+    if fresh != expected:
+        return {"ok": False, "reason": "determinism-broken",
+                "error": "the full traffic bench no longer reproduces "
+                         "benchmarks/results/BENCH_traffic.json"}
+    print(f"traffic-full: payload byte-identical to the committed "
+          f"BENCH_traffic.json ({len(fresh)} bytes)")
+    return {"ok": True}
+
+
 def stage_macro_gates() -> dict:
     """Transient-sequence macro gate + byte-determinism of its report.
 
@@ -404,6 +438,7 @@ STAGES = {
     "plan-equivalence": stage_plan_equivalence,
     "perf-gates": stage_perf_gates,
     "traffic": stage_traffic,
+    "traffic-full": stage_traffic_full,
     "macro-gates": stage_macro_gates,
     "trace-gate": stage_trace_gate,
     "determinism": stage_determinism,

@@ -304,8 +304,8 @@ class Solver:
         self.results: list[SolveResult] = []
 
     def _cache_kind(self) -> str:
-        from .service.service import _options_key, _recycle_kind
-        return _recycle_kind(_options_key(self.options))
+        from .service.service import _recycle_kind, options_key
+        return _recycle_kind(options_key(self.options))
 
     def solve(self, a, b, *, x0: np.ndarray | None = None,
               m=None, same_system: bool | None = None) -> SolveResult:

@@ -16,7 +16,8 @@ workload is byte-identical.  On top of the base class it adds
   ``Options.service_queue_depth > 0`` a submit against a full shard
   queue is *rejected* (an explicit :attr:`AsyncRequest.rejected` reason,
   never an exception and never a silent drop), as is a request whose
-  deadline already passed;
+  deadline already passed or whose right-hand side, initial guess or
+  shifts are not finite;
 * **sharding** — operators are partitioned across per-shard
   :class:`~repro.service.shard.ShardedSetupCache` instances by
   consistent hashing; each shard is an independent execution lane with
@@ -25,6 +26,10 @@ workload is byte-identical.  On top of the base class it adds
   block, later arrivals accumulate in its queue; the completion event
   dispatches whatever accumulated as the next block, so a busy shard
   always has a batch in flight and one forming;
+* **per-shard indexes** — each shard keeps its queued-request count, a
+  heap of its requests by ``urgency()`` and a heap by deadline, updated
+  on enqueue and dispatch, so an arrival, a completion or a timer costs
+  O(log queue) instead of a rescan of every queued request;
 * **exact cost attribution** — batches run through the base class's
   ``_solve_batch``, so the private-ledger merge/split conservation
   contract is untouched: summed per-request shares equal the batch
@@ -85,6 +90,26 @@ class AsyncRequest(SolveRequest):
         return self.completion_time - self.arrival
 
 
+class _ShardIndex:
+    """One shard's slice of the queue, indexed for the scheduler.
+
+    ``_queue`` stays the record of group membership; these are views
+    derived from it.  Heap entries end with the request they stand for
+    and go stale once it leaves the queue; stale entries are popped
+    lazily when they reach the top.
+    """
+
+    __slots__ = ("depth", "by_urgency", "by_deadline")
+
+    def __init__(self) -> None:
+        self.depth = 0  #: queued requests
+        #: ``(urgency, key, req)``; urgencies are unique (they end in the
+        #: request index), so comparisons never reach the key
+        self.by_urgency: list[tuple] = []
+        #: ``(deadline, group_seq, index, req)``
+        self.by_deadline: list[tuple] = []
+
+
 class AsyncSolveService(SolveService):
     """Deadline-scheduled, sharded, pipelined solve service.
 
@@ -118,7 +143,12 @@ class AsyncSolveService(SolveService):
         self._busy_until = [0.0] * self.n_shards
         self._events: list[tuple[float, int, int]] = []  # (time, seq, shard)
         self._event_seq = 0
-        self._key_shard: dict[tuple, int] = {}
+        self._shards = [_ShardIndex() for _ in range(self.n_shards)]
+        self._queued: set[int] = set()  # indices of queued requests
+        # key -> (creation sequence, key) of each live group; the
+        # sequence is the group's position in ``_queue`` order
+        self._groups: dict[tuple, tuple[int, tuple]] = {}
+        self._next_group = 0
         self.completed: list[AsyncRequest] = []
         self.rejections: list[AsyncRequest] = []
         self.queue_high_water = [0] * self.n_shards
@@ -127,11 +157,12 @@ class AsyncSolveService(SolveService):
     # -- admission -------------------------------------------------------
     def shard_depth(self, shard: int) -> int:
         """Queued (admitted, undispatched) requests on one shard."""
-        return sum(len(reqs) for key, reqs in self._queue.items()
-                   if self._key_shard[key] == shard)
+        return self._shards[shard].depth
 
     def _admit(self, req: AsyncRequest, shard: int) -> str | None:
         """Admission decision: ``None`` admits, else a rejection reason."""
+        if not req.finite or math.isnan(req.deadline):
+            return "non_finite_input"
         depth = self.options.service_queue_depth
         if depth and self.shard_depth(shard) >= depth:
             return "queue_full"
@@ -163,9 +194,21 @@ class AsyncSolveService(SolveService):
             tr.metrics.counter("service_rejected_total").inc(reason=reason)
             return req
         key = self._request_key(req)
-        self._queue.setdefault(key, []).append(req)
-        self._key_shard[key] = shard
-        depth = self.shard_depth(shard)
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = (self._next_group, key)
+            self._next_group += 1
+            self._queue[key] = []
+        # index entries share the group's key object: a per-request copy
+        # of the options tuple would stay alive in the heaps
+        seq, key = group
+        self._queue[key].append(req)
+        idx = self._shards[shard]
+        idx.depth += 1
+        heapq.heappush(idx.by_urgency, (req.urgency(), key, req))
+        heapq.heappush(idx.by_deadline, (req.deadline, seq, req.index, req))
+        self._queued.add(req.index)
+        depth = idx.depth
         self.queue_high_water[shard] = max(self.queue_high_water[shard],
                                            depth)
         tr.metrics.gauge("service_queue_depth").set(depth, shard=str(shard))
@@ -210,17 +253,31 @@ class AsyncSolveService(SolveService):
             priority=priority, tenant=tenant, shifts=sig, mass=mass))
 
     # -- scheduling core -------------------------------------------------
-    def _shard_keys(self, shard: int) -> list[tuple]:
-        return [key for key, reqs in self._queue.items()
-                if reqs and self._key_shard[key] == shard]
+    def _top(self, heap: list[tuple]) -> tuple | None:
+        """The heap's first entry whose request is still queued."""
+        while heap and heap[0][-1].index not in self._queued:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+    def _unqueue(self, key: tuple, chunk: list[AsyncRequest],
+                 rest: list[AsyncRequest]) -> None:
+        """Take ``chunk`` out of its group and out of the shard indexes."""
+        if rest:
+            self._queue[key] = rest
+        else:
+            del self._queue[key]
+            del self._groups[key]
+        self._forget(chunk)
+
+    def _forget(self, reqs: list[AsyncRequest]) -> None:
+        for req in reqs:
+            self._queued.discard(req.index)
+        self._shards[reqs[0].shard].depth -= len(reqs)
 
     def _best_key(self, shard: int) -> tuple | None:
         """The coalescing group holding the most urgent queued request."""
-        keys = self._shard_keys(shard)
-        if not keys:
-            return None
-        return min(keys,
-                   key=lambda k: min(r.urgency() for r in self._queue[k]))
+        top = self._top(self._shards[shard].by_urgency)
+        return None if top is None else top[1]
 
     def _group_width(self, key: tuple) -> int:
         return sum(r.width for r in self._queue[key])
@@ -251,13 +308,18 @@ class AsyncSolveService(SolveService):
                     and not head_due and not queue_full:
                 return False
         chunk, rest = self._take_chunk(group)
-        if rest:
-            self._queue[key] = rest
-        else:
-            del self._queue[key]
-            del self._key_shard[key]
+        self._unqueue(key, chunk, rest)
         self._dispatch(shard, key, chunk)
         return True
+
+    def _dispatch_group(self, key: tuple) -> list[AsyncRequest]:
+        # the base class's immediate path (``solve``) sends the whole
+        # group out at once, outside the clock; keep the indexes in step
+        reqs = self._queue.get(key)
+        if reqs:
+            del self._groups[key]
+            self._forget(reqs)
+        return super()._dispatch_group(key)
 
     def _dispatch(self, shard: int, key: tuple,
                   chunk: list[AsyncRequest]) -> None:
@@ -305,16 +367,17 @@ class AsyncSolveService(SolveService):
         """Earliest queued deadline on an *idle* shard (time, shard).
 
         Busy shards are excluded: their completion event is already in
-        the heap and pumps them the moment they free up.
+        the heap and pumps them the moment they free up.  Equal deadlines
+        on two shards go to the group queued first (the lower group
+        sequence number, i.e. the earlier group in ``_queue`` order).
         """
-        best_t, best_s = math.inf, -1
-        for key, reqs in self._queue.items():
-            shard = self._key_shard[key]
+        best_t, best_seq, best_s = math.inf, -1, -1
+        for shard, idx in enumerate(self._shards):
             if self._busy_until[shard] > self.now:
                 continue
-            for r in reqs:
-                if r.deadline < best_t:
-                    best_t, best_s = r.deadline, shard
+            top = self._top(idx.by_deadline)
+            if top is not None and (top[0], top[1]) < (best_t, best_seq):
+                best_t, best_seq, best_s = top[0], top[1], shard
         return best_t, best_s
 
     # -- the clock -------------------------------------------------------

@@ -26,6 +26,8 @@ independent solve requests ``(A, b, options)``; the service
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -76,10 +78,29 @@ class SolveRequest:
     def done(self) -> bool:
         return self.result is not None
 
+    @property
+    def finite(self) -> bool:
+        """Whether ``b``, ``x0`` and the shifts are all finite (one NaN
+        column would stall the whole coalesced batch it joins)."""
+        return bool(np.isfinite(self.b).all()
+                    and (self.x0 is None or np.isfinite(self.x0).all())
+                    and np.isfinite(self.shifts).all())
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(sorted(f.name for f in dataclasses.fields(cls)))
+
 
 def options_key(options: Options) -> tuple:
-    """Hashable compatibility key: requests coalesce iff keys are equal."""
-    return tuple(sorted((k, repr(v)) for k, v in options.as_dict().items()))
+    """Hashable compatibility key: requests coalesce iff keys are equal.
+
+    ``(field name, repr(value))`` pairs in name order, read straight off
+    the dataclass fields rather than through the deep copy of
+    ``dataclasses.asdict``.
+    """
+    return tuple([(name, repr(getattr(options, name)))
+                  for name in _field_names(type(options))])
 
 
 def options_digest(okey: tuple) -> str:
@@ -103,10 +124,6 @@ def _rhs_digest(b: np.ndarray) -> str:
 def _family_recycle_kind(okey: tuple, fpm: Fingerprint | None) -> str:
     tag = fpm.short() if fpm is not None else "none"
     return f"family_recycle:{options_digest(okey)}:{tag}"
-
-
-# retained for callers that imported the private name
-_options_key = options_key
 
 
 def _as_matrix(a: Any) -> sp.spmatrix:
@@ -209,10 +226,14 @@ class SolveService:
             fpm = operator_fingerprint(req.mass) \
                 if req.mass is not None else None
             return ("family", req.fingerprint, fpm, _rhs_digest(req.b),
-                    _options_key(req.options))
-        return (req.fingerprint, _options_key(req.options))
+                    options_key(req.options))
+        return (req.fingerprint, options_key(req.options))
 
     def _enqueue(self, req: SolveRequest) -> SolveRequest:
+        if not req.finite:
+            raise ValueError(
+                f"request {req.index} has a non-finite right-hand side, "
+                "initial guess or shift")
         key = self._request_key(req)
         self._queue.setdefault(key, []).append(req)
         if self.flush_policy == "batch_full":
@@ -225,7 +246,8 @@ class SolveService:
 
         Under the ``"batch_full"`` flush policy a group is dispatched as
         soon as it reaches ``service_pmax`` columns; otherwise requests
-        wait for :meth:`flush`.
+        wait for :meth:`flush`.  A non-finite ``b`` or ``x0`` raises
+        :class:`ValueError` before anything is queued.
         """
         return self._enqueue(self._make_request(a, b, options=options, x0=x0))
 
@@ -238,7 +260,8 @@ class SolveService:
         *value* and options coalesce into a single family: their shift
         unions are solved on one shared block-Arnoldi basis by
         ``api.solve(..., shifts=...)`` and each request receives the
-        slice belonging to its own shifts.
+        slice belonging to its own shifts.  Non-finite input raises
+        :class:`ValueError`, as for :meth:`submit`.
         """
         sig = tuple(np.ravel(np.asarray(list(shifts))).tolist())
         if not sig:

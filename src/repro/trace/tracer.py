@@ -189,6 +189,9 @@ class Tracer:
         self.metrics = MetricsRegistry()
         self._stack: list[Span] = []
         self._count = 0
+        # per-name totals over roots[:_n_folded], all closed
+        self._folded: dict[str, dict[str, float]] = {}
+        self._n_folded = 0
 
     @property
     def detail(self) -> bool:
@@ -217,22 +220,38 @@ class Tracer:
 
     # -- reporting ---------------------------------------------------------
     def summary(self) -> dict[str, Any]:
-        """Aggregate per-name exclusive costs over every recorded root."""
-        by_name: dict[str, dict[str, float]] = {}
-        for root in self.roots:
-            for span in root.walk():
-                if span.cost is None:
-                    continue
-                excl = span.exclusive()
-                row = by_name.setdefault(
-                    span.name, {"count": 0, "reductions": 0,
-                                "reduction_bytes": 0, "flops": 0.0})
-                row["count"] += 1
-                row["reductions"] += excl.reductions
-                row["reduction_bytes"] += excl.reduction_bytes
-                row["flops"] += excl.total_flops()
+        """Aggregate per-name exclusive costs over every recorded root.
+
+        Closed roots are folded into running totals once, in recording
+        order; only the roots from the first still-open one onwards are
+        walked again, so a long-lived tracer answers in time independent
+        of its history (and with the same float sums as a full walk).
+        """
+        roots = self.roots
+        while self._n_folded < len(roots) \
+                and roots[self._n_folded].cost is not None:
+            _fold(self._folded, roots[self._n_folded])
+            self._n_folded += 1
+        by_name = {k: dict(row) for k, row in self._folded.items()}
+        for root in roots[self._n_folded:]:
+            _fold(by_name, root)
         return {"level": self.level, "spans": self._count,
                 "by_name": {k: by_name[k] for k in sorted(by_name)}}
+
+
+def _fold(by_name: dict[str, dict[str, float]], root: Span) -> None:
+    """Add the exclusive costs of a root's closed spans into ``by_name``."""
+    for span in root.walk():
+        if span.cost is None:
+            continue
+        excl = span.exclusive()
+        row = by_name.setdefault(
+            span.name, {"count": 0, "reductions": 0,
+                        "reduction_bytes": 0, "flops": 0.0})
+        row["count"] += 1
+        row["reductions"] += excl.reductions
+        row["reduction_bytes"] += excl.reduction_bytes
+        row["flops"] += excl.total_flops()
 
 
 class NullTracer:

@@ -11,7 +11,11 @@ load-bearing invariants (ISSUE 7):
   priorities (no deadline inversion at batch granularity);
 * summed per-request cost shares equal the batch ledgers **bit-for-bit**
   under any interleaving, sharded and pipelined or not — plus a mutation
-  test proving the conservation check fails when a share is dropped.
+  test proving the conservation check fails when a share is dropped;
+* every choice of the indexed scheduler (the group dispatched, the shard
+  the deadline timer fires on, each shard's queue depth) equals a
+  brute-force scan of the queue, including under a growing backlog and
+  on equal deadlines across idle shards.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from repro import AsyncSolveService, Options, make_service
 from repro.service import (ConsistentHashRouter, SetupCache,
                            ShardedSetupCache, SolveService,
                            operator_fingerprint)
+from repro.trace import Tracer, install
 from repro.util.ledger import CostLedger
 
 from conftest import laplacian_1d, make_rng
@@ -60,20 +65,80 @@ _steps = st.lists(
     min_size=1, max_size=24)
 
 
+# -- brute-force reference scans over ``_queue`` --------------------------
+# The scheduler answers these questions from per-shard indexes; the scans
+# below are the definition the indexes must reproduce exactly.
+
+def _scan_depth(svc: AsyncSolveService, shard: int) -> int:
+    return sum(1 for reqs in svc._queue.values() for r in reqs
+               if r.shard == shard)
+
+
+def _scan_best_key(svc: AsyncSolveService, shard: int):
+    keys = [k for k, reqs in svc._queue.items() if reqs[0].shard == shard]
+    if not keys:
+        return None
+    return min(keys, key=lambda k: min(r.urgency() for r in svc._queue[k]))
+
+
+def _scan_next_deadline(svc: AsyncSolveService) -> tuple[float, int]:
+    """Earliest deadline on an idle shard; ties go to the group that comes
+    first in ``_queue`` (insertion) order."""
+    best_t, best_s = math.inf, -1
+    for reqs in svc._queue.values():
+        shard = reqs[0].shard
+        if svc._busy_until[shard] > svc.now:
+            continue
+        for r in reqs:
+            if r.deadline < best_t:
+                best_t, best_s = r.deadline, shard
+    return best_t, best_s
+
+
 class _Shadow:
-    """Replays the scheduler's decisions against its own submission log."""
+    """Replays the scheduler's decisions against its own submission log.
+
+    It also checks every scheduling choice as it is made: the group
+    ``_best_key`` picks, the (time, shard) of the next deadline timer, and
+    every shard's depth after each submit or advance must equal the
+    brute-force scans above.
+    """
 
     def __init__(self, svc: AsyncSolveService):
         self.svc = svc
         self.pending: dict[int, object] = {}   # admitted, not yet dispatched
         self.seen_batches = 0
         self.dispatched: set[int] = set()
+        self.choices = 0
+        self.timers: list[tuple[float, int]] = []  # finite timer picks
+        best_key, next_deadline = svc._best_key, svc._next_deadline
+
+        def checked_best_key(shard):
+            want = _scan_best_key(svc, shard)
+            got = best_key(shard)
+            assert got == want, f"shard {shard}: picked {got}, scan {want}"
+            self.choices += want is not None
+            return got
+
+        def checked_next_deadline():
+            want = _scan_next_deadline(svc)
+            got = next_deadline()
+            assert got == want, f"timer {got}, scan {want}"
+            if math.isfinite(want[0]):
+                self.timers.append(want)
+            return got
+
+        svc._best_key = checked_best_key
+        svc._next_deadline = checked_next_deadline
 
     def note_submit(self, req) -> None:
         if req.rejected is None:
             self.pending[req.index] = req
 
     def check_new_batches(self) -> None:
+        for shard in range(self.svc.n_shards):
+            assert self.svc.shard_depth(shard) == _scan_depth(self.svc,
+                                                              shard)
         for rec in self.svc.batches[self.seen_batches:]:
             self._check_batch(rec)
         self.seen_batches = len(self.svc.batches)
@@ -156,6 +221,73 @@ def test_scheduler_invariants(steps, data):
     svc.drain()
     shadow.check_new_batches()
     shadow.check_final(admitted)
+
+
+def _by_shard(svc: AsyncSolveService, ops) -> dict[int, list]:
+    out: dict[int, list] = {}
+    for a in ops:
+        out.setdefault(svc.cache.shard_of(operator_fingerprint(a)),
+                       []).append(a)
+    return out
+
+
+def test_exact_choices_on_a_busy_shard_with_growing_backlog():
+    """One shard receives requests faster than it serves them, so its
+    backlog grows through the run while the other shard idles between
+    deadline-driven batches; every pick must match the scans."""
+    svc = _service(service_shards=2, service_pmax=2,
+                   service_cache_entries=8)
+    shadow = _Shadow(svc)
+    lanes = _by_shard(svc, _operators(8))
+    hot, cold = lanes[0], lanes[1]
+    rng = make_rng(11)
+    admitted, depths = [], []
+    for i in range(90):
+        a = cold[i // 9 % len(cold)] if i % 9 == 0 else hot[i % len(hot)]
+        rel = (0.0, 2e-5, 1e-4, 1e-3)[i % 4]
+        req = svc.submit(a, rng.standard_normal(N),
+                         deadline=rel if rel > 0 else None,
+                         priority=(i // 4) % 3)
+        shadow.note_submit(req)
+        admitted.append(req)
+        shadow.check_new_batches()
+        svc.advance_to(svc.now + 4e-6)
+        shadow.check_new_batches()
+        depths.append(svc.shard_depth(0))
+    assert depths[-1] > 3 * depths[10] > 0, "the backlog did not grow"
+    svc.drain()
+    shadow.check_new_batches()
+    shadow.check_final(admitted)
+    assert shadow.choices >= len(svc.batches)
+    assert any(shard == 1 for _, shard in shadow.timers)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_equal_deadlines_on_idle_shards_go_to_the_earlier_group(first):
+    """Two idle shards hold requests due at the same instant: the timer
+    fires first on the shard whose *group* was queued first, even when
+    the other shard's request was submitted earlier."""
+    svc = _service(service_shards=2, service_pmax=8)
+    shadow = _Shadow(svc)
+    lanes = _by_shard(svc, _operators(8))
+    a_first, a_second = lanes[first][0], lanes[1 - first][0]
+    rng = make_rng(12)
+    # the first group opens with a late deadline, the second with the
+    # shared one, then the first group gains a request due at that instant
+    reqs = [svc.submit(a_first, rng.standard_normal(N), deadline=5e-3),
+            svc.submit(a_second, rng.standard_normal(N), deadline=1e-3),
+            svc.submit(a_first, rng.standard_normal(N), deadline=1e-3)]
+    for req in reqs:
+        shadow.note_submit(req)
+    assert not any(r.done for r in reqs)
+    assert reqs[1].deadline == reqs[2].deadline
+    svc.advance_to(2e-3)
+    shadow.check_new_batches()
+    assert shadow.timers[0] == (1e-3, first)
+    assert [rec["shard"] for rec in svc.batches] == [first, 1 - first]
+    assert svc.batches[0]["request_indices"] == [reqs[2].index,
+                                                  reqs[0].index]
+    assert svc.batches[1]["dispatch_time"] == 1e-3
 
 
 @settings(max_examples=10, deadline=None)
@@ -307,6 +439,54 @@ class TestAdmissionControl:
                          deadline=-0.5)
         assert req.rejected == "deadline_unmeetable"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_request_rejected_healthy_batch_unchanged(self, bad):
+        """One poisoned request of four is refused at admission; the three
+        healthy ones solve exactly as a clean batch of three would (a NaN
+        column used to stall the whole coalesced batch in ``drain``)."""
+        a = laplacian_1d(400, shift=1.0)
+        rng = make_rng(13)
+        rhs = [rng.standard_normal(400) for _ in range(4)]
+        rhs[2][17] = bad
+        healthy = [b for j, b in enumerate(rhs) if j != 2]
+
+        def run(blocks):
+            svc = make_service(options=Options(
+                krylov_method="gmres", service_mode="async",
+                service_pmax=4, service_shards=1))
+            reqs = [svc.submit(a, b) for b in blocks]
+            svc.drain()
+            return svc, reqs
+
+        svc, reqs = run(rhs)
+        assert reqs[2].rejected == "non_finite_input"
+        assert svc.rejections == [reqs[2]]
+        assert svc.shard_depth(0) == 0
+        with pytest.raises(RuntimeError, match="non_finite_input"):
+            svc.result(reqs[2])
+        clean_svc, clean = run(healthy)
+        assert [rec["width"] for rec in svc.batches] == [3]
+        for got, want in zip([r for r in reqs if r is not reqs[2]], clean):
+            assert got.result.converged.all()
+            np.testing.assert_array_equal(got.result.x, want.result.x)
+            assert got.result.iterations == want.result.iterations
+            assert (got.result.info["service"]["cost"].counts()
+                    == want.result.info["service"]["cost"].counts())
+
+    def test_non_finite_shift_or_guess_rejected(self):
+        svc = _service(service_shards=1)
+        a = _operators(1)[0]
+        x0 = np.zeros(N)
+        x0[0] = np.nan
+        with install(Tracer()) as tr:
+            reqs = [svc.submit(a, np.ones(N), x0=x0),
+                    svc.submit_family(a, np.ones(N), [0.0, np.inf]),
+                    svc.submit(a, np.ones(N), deadline=np.nan)]
+        assert [r.rejected for r in reqs] == ["non_finite_input"] * 3
+        assert tr.metrics.counter("service_rejected_total").value(
+            reason="non_finite_input") == 3
+        assert svc.drain() == []
+
     def test_default_deadline_from_options(self):
         svc = _service(service_shards=1, service_deadline=1e-3)
         req = svc.submit(_operators(1)[0], make_rng(3).standard_normal(N))
@@ -385,6 +565,25 @@ class TestPipelining:
             assert all(r.result.converged.all() for r in reqs)
         for xs, xa in zip(results["sync"], results["async"]):
             np.testing.assert_allclose(xs, xa, rtol=1e-10, atol=1e-12)
+
+    def test_immediate_solve_keeps_indexes_in_step(self):
+        """The inherited ``solve`` dispatches a group outside the clock;
+        the shard indexes must follow, so later scheduling stays exact."""
+        svc = _service(service_shards=1, service_pmax=4)
+        shadow = _Shadow(svc)
+        ops = _operators(2)
+        rng = make_rng(14)
+        queued = svc.submit(ops[0], rng.standard_normal(N), deadline=1e-3)
+        res = svc.solve(ops[0], rng.standard_normal(N))
+        assert res.converged.all() and queued.done
+        assert svc.shard_depth(0) == 0
+        late = svc.submit(ops[0], rng.standard_normal(N), deadline=1e-3)
+        other = svc.submit(ops[1], rng.standard_normal(N), deadline=5e-4)
+        assert svc.shard_depth(0) == 2
+        svc.advance_to(2e-3)
+        assert late.done and other.done
+        assert other.dispatch_time < late.dispatch_time
+        assert shadow.timers and shadow.choices
 
     def test_make_service_dispatches_on_mode(self):
         sync = make_service(options=Options(service_mode="sync"))

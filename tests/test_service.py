@@ -15,12 +15,15 @@ Covers the contract of :mod:`repro.service`:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro import Options, Solver, solve
-from repro.service import SetupCache, SolveService, operator_fingerprint
+from repro.service import (SetupCache, SolveService, operator_fingerprint,
+                           options_digest, options_key)
 from repro.service.fingerprint import Fingerprint
 from repro.util import ledger
 from repro.util.ledger import CostLedger
@@ -202,6 +205,62 @@ class TestCoalescing:
                                    service_flush="queue_drained"))
         svc.flush()
         assert len(svc.batches) == 2
+
+
+class TestOptionsKey:
+    """``options_key`` reads the dataclass fields directly; the key must
+    stay the tuple the ``asdict``-based construction produced, because
+    ``recycle:{digest}`` cache kinds and ``okey_digest`` records hash it."""
+
+    @staticmethod
+    def _asdict_key(options):
+        return tuple(sorted((k, repr(v))
+                            for k, v in dataclasses.asdict(options).items()))
+
+    @staticmethod
+    def _other(value):
+        if isinstance(value, bool):
+            return not value
+        if isinstance(value, (int, float)):
+            return value * 3 + 1
+        if isinstance(value, str):
+            return value + "'x\"y"
+        if isinstance(value, dict):
+            return {"-hpddm_custom": "7", "nested": [1, (2.5, None)]}
+        return "per_rank"  # exec_mode: None -> a mode name
+
+    def test_default_options(self):
+        assert options_key(Options()) == self._asdict_key(Options())
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(Options)])
+    def test_each_field_non_default(self, name):
+        opts = Options()
+        value = self._other(getattr(opts, name))
+        setattr(opts, name, value)  # bypasses validation on purpose
+        assert options_key(opts) == self._asdict_key(opts)
+        assert options_key(opts) != options_key(Options())
+        assert options_digest(options_key(opts)) \
+            == options_digest(self._asdict_key(opts))
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_sync_submit_raises_before_queueing(self, bad):
+        a = poisson()
+        svc = SolveService(options=Options(service_flush="queue_drained"))
+        b = np.ones(a.shape[0])
+        b[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            svc.submit(a, b)
+        x0 = np.zeros(a.shape[0])
+        x0[0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            svc.submit(a, np.ones(a.shape[0]), x0=x0)
+        with pytest.raises(ValueError, match="non-finite"):
+            svc.submit_family(a, np.ones(a.shape[0]), [0.0, bad])
+        assert svc.pending == 0
+        assert svc.flush() == []
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,52 @@ class TestSolverTraces:
         assert trace_info["span"]["name"] == "solve"
         assert "cycle" in trace_info["summary"]["by_name"]
 
+    def test_incremental_summary_matches_full_walk(self, rng):
+        """``summary()`` folds closed roots once; after every solve of a
+        mixed sequence (single, block, recycled, family, service batch)
+        it equals a from-scratch walk over every recorded root."""
+        def full_walk(tr):
+            by_name = {}
+            for root in tr.roots:
+                for span in root.walk():
+                    if span.cost is None:
+                        continue
+                    excl = span.exclusive()
+                    row = by_name.setdefault(
+                        span.name, {"count": 0, "reductions": 0,
+                                    "reduction_bytes": 0, "flops": 0.0})
+                    row["count"] += 1
+                    row["reductions"] += excl.reductions
+                    row["reduction_bytes"] += excl.reduction_bytes
+                    row["flops"] += excl.total_flops()
+            return {"level": tr.level, "spans": tr._count,
+                    "by_name": {k: by_name[k] for k in sorted(by_name)}}
+
+        a = laplacian_1d(120, shift=0.5)
+        b = rng.standard_normal((120, 2))
+        tr = Tracer()
+        svc = SolveService(options=Options(krylov_method="gmres",
+                                           service_pmax=2))
+        solves = [
+            lambda: api.solve(a, b[:, 0], options=Options()),
+            lambda: api.solve(a, b, options=Options(krylov_method="bgmres")),
+            lambda: api.solve(a, b, options=Options(
+                krylov_method="gcrodr", recycle=4, gmres_restart=12)),
+            lambda: api.solve(a, b[:, 0], options=Options(),
+                              shifts=[0.0, 0.5]),
+            lambda: [svc.submit(a, b[:, j]) for j in range(2)],
+        ]
+        with install(tr), ledger.install(CostLedger()):
+            with tr.span("outer"):  # an open root: walked, not folded
+                api.solve(a, b[:, 1], options=Options())
+                assert tr.summary() == full_walk(tr)
+            for step in solves + solves:
+                res = step()
+                assert tr.summary() == full_walk(tr)
+                if hasattr(res, "info"):
+                    assert res.info["trace"]["summary"] == full_walk(tr)
+        assert tr._n_folded == len(tr.roots)
+
     def test_off_is_byte_identical(self, rng):
         a = laplacian_1d(240)
         b = rng.standard_normal(240)
