@@ -24,9 +24,7 @@ Usage::
 nranks=64 for SpMM and column dots, AND the low-synchronization
 orthogonalization engine meets its budget (CGS2-1r: <= 2 reductions per
 Arnoldi step and >= 1.5x MGS wall-clock on the 40-block p=8 basis at
-equal final orthogonality), AND the execution-plan compiler honors its
-oracle contract (bit-identical counts and iterates vs the interpreter,
->= 1.5x wall-clock on the full-size 40-step cycle), AND sketch-whitened
+equal final orthogonality), AND sketch-whitened
 recycled-pair maintenance beats the full-space re-derivation by >= 1.5x
 modeled time with zero maintenance reductions per cycle and equal solve
 convergence — the repo's perf regression gates.
@@ -226,54 +224,6 @@ def bench_orthogonalization(cfg: dict) -> dict:
     return out
 
 
-def bench_plan(cfg: dict) -> dict:
-    """Execution-plan compiler vs the interpreted cycle (the PR-6 gate).
-
-    Runs the full 40-step p=8 block-Arnoldi cycle — the Krylov hot path —
-    with the operator as a fused-mode :class:`DistributedCSR` SpMM at
-    nranks=64, in both ``-hpddm_plan`` modes.  The compiled mode must charge
-    a bit-identical ledger and produce bitwise-equal iterates (the oracle
-    contract); its wall-clock win is pure interpreter overhead removal:
-    per-step ``np.concatenate`` re-stacking of the basis (the arena hands
-    out slab views instead) and per-call ledger charge re-derivation
-    (pre-bound :class:`~repro.plan.ir.NodeCost` tables instead).
-    """
-    from repro.krylov.cycle import block_arnoldi_cycle
-    from repro.la.orthogonalization import householder_qr
-    from repro.util import ledger as ledger_mod
-
-    a = laplacian_2d(cfg["grid"])
-    n, p = a.shape[0], cfg["p"]
-    steps = cfg["ortho_blocks"]
-    grid = VirtualGrid(n, 64)
-    dcsr = DistributedCSR(a, grid)
-    rng = np.random.default_rng(20260705)
-    v1, s1 = householder_qr(rng.standard_normal((n, p)))
-
-    def cycle(plan):
-        with use_exec_mode("fused"), ledger_mod.install() as led:
-            st = block_arnoldi_cycle(
-                dcsr.matmat, lambda v: v, v1.copy(), s1.copy(),
-                max_steps=steps, ortho="cgs2_1r", identity_m=True, plan=plan)
-        return st, led
-
-    st_i, led_i = cycle("interpret")
-    st_c, led_c = cycle("compiled")
-    out = {
-        "problem": {"n": n, "p": p, "steps": steps, "nranks": 64,
-                    "ortho": "cgs2_1r"},
-        "counts_identical": led_i.counts() == led_c.counts(),
-        "iterates_identical": bool(
-            np.array_equal(st_i.v_stack(), st_c.v_stack())
-            and np.array_equal(st_i.hqr.g, st_c.hqr.g)),
-        "optimizer": dict(st_c.plan_stats or {}),
-    }
-    for plan in ("interpret", "compiled"):
-        out[f"seconds_{plan}"] = _time(lambda: cycle(plan), cfg["repeats"])
-    out["speedup_compiled"] = out["seconds_interpret"] / out["seconds_compiled"]
-    return out
-
-
 def bench_recycling(cfg: dict) -> dict:
     """Full-space vs sketch-whitened recycled-pair maintenance (ISSUE-8).
 
@@ -386,7 +336,6 @@ def speedups(rows: list[dict]) -> dict[str, dict[str, float]]:
 def run(cfg: dict, out_path: Path | None) -> dict:
     rows = bench_kernels(cfg)
     ortho = bench_orthogonalization(cfg)
-    plan = bench_plan(cfg)
     recycling = bench_recycling(cfg)
     sched_rows = bench_level_schedule(cfg)
     sched_t = {(r["workload"], r["mode"]): r["seconds"] for r in sched_rows}
@@ -403,7 +352,6 @@ def run(cfg: dict, out_path: Path | None) -> dict:
                         "blocks": cfg["ortho_blocks"]},
             "schemes": ortho,
         },
-        "plan": plan,
         "recycling": recycling,
         "level_schedule": {
             "results": sched_rows,
@@ -439,22 +387,6 @@ def print_report(report: dict) -> None:
                   f"{row['speedup_over_mgs']:>7.1f}x "
                   f"{row['reductions_per_step_max']:>10d} "
                   f"{row['loss_of_orthogonality']:>10.1e}")
-    plan = report.get("plan")
-    if plan:
-        prob = plan["problem"]
-        stats = plan.get("optimizer", {})
-        print(f"\n# execution plan: {prob['steps']}-step p={prob['p']} "
-              f"{prob['ortho']} cycle, n={prob['n']}, nranks={prob['nranks']}")
-        print(f"{'mode':>10} {'seconds':>12}   counts_identical="
-              f"{plan['counts_identical']} iterates_identical="
-              f"{plan['iterates_identical']}")
-        print(f"{'interpret':>10} {plan['seconds_interpret']:>12.3e}")
-        print(f"{'compiled':>10} {plan['seconds_compiled']:>12.3e} "
-              f"{plan['speedup_compiled']:>7.2f}x  "
-              f"(hoisted={stats.get('hoisted', 0)} "
-              f"fused={stats.get('fused', 0)} "
-              f"batched={stats.get('batched', 0)} "
-              f"prebound={stats.get('prebound', 0)})")
     rec = report.get("recycling")
     if rec:
         prob = rec["problem"]
@@ -491,8 +423,7 @@ def check_gate(report: dict) -> list[str]:
     2. the low-sync orthogonalization headline: CGS2-1r builds the
        40-block p=8 basis in <= 2 reductions per step at every depth,
        >= 1.5x faster than MGS, at equivalent final orthogonality;
-    3. the plan compiler's oracle contract and wall-clock win;
-    4. sketched recycling: pair maintenance >= 1.5x modeled speedup with
+    3. sketched recycling: pair maintenance >= 1.5x modeled speedup with
        at most one (in practice zero) maintenance reduction per cycle,
        equal solve convergence, O(1) per-cycle solve overhead.
     """
@@ -523,25 +454,6 @@ def check_gate(report: dict) -> list[str]:
         failures.append("cholqr2: reduction budget exceeded")
     if ortho["sketched"]["reductions_per_step_max"] > 1:
         failures.append("sketched: reduction budget exceeded")
-    plan = report.get("plan")
-    if not plan:
-        failures.append("plan: no measurements")
-        return failures
-    if not plan["counts_identical"]:
-        failures.append("plan: compiled ledger counts diverge from the "
-                        "interpreter (oracle contract broken)")
-    if not plan["iterates_identical"]:
-        failures.append("plan: compiled iterates diverge bitwise from the "
-                        "interpreter (oracle contract broken)")
-    # the >= 1.5x headline holds at the full benchmark size (n = 96^2, the
-    # regime of the scaling studies); the quick CI size (n = 64^2) has a
-    # thinner GEMM-to-copy ratio and noisy small kernels, so it gates on
-    # "compiled must not lose" only
-    target = 1.5 if plan["problem"]["n"] >= 96 ** 2 else 1.0
-    if plan["speedup_compiled"] < target:
-        failures.append(f"plan: compiled only "
-                        f"{plan['speedup_compiled']:.2f}x over interpret "
-                        f"(gate: {target}x)")
     rec = report.get("recycling")
     if not rec:
         failures.append("recycling: no measurements")

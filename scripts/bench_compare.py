@@ -96,14 +96,6 @@ def extract_metrics(kernels: dict, service: dict,
     level = kernels["level_schedule"]["speedup_frontier_over_reference"]
     m["triangular_block_diag_speedup"] = {
         "value": float(level["block_diag"]), "kind": "ratio"}
-    plan = kernels["plan"]
-    m["plan_compiled_speedup"] = {
-        "value": float(plan["speedup_compiled"]), "kind": "ratio"}
-    m["plan_oracle_identical"] = {
-        "value": int(plan["counts_identical"] and plan["iterates_identical"]),
-        "kind": "exact"}
-    m["plan_optimizer_fused"] = {
-        "value": int(plan["optimizer"]["fused"]), "kind": "exact"}
     rec = kernels["recycling"]
     # ledger-derived through the performance model: deterministic for a
     # fixed config, like the service metrics
@@ -220,12 +212,6 @@ def bootstrap_floors(current: dict[str, dict]) -> list[str]:
         if current[f"kernel_speedup64_{kern}"]["value"] < 1.0:
             failures.append(f"kernel_speedup64_{kern} < 1.0 "
                             f"(fused slower than per-rank oracle)")
-    if current["plan_oracle_identical"]["value"] != 1:
-        failures.append("plan_oracle_identical != 1 (compiled plan broke "
-                        "the bit-identity contract)")
-    if current["plan_compiled_speedup"]["value"] < 1.0:
-        failures.append("plan_compiled_speedup < 1.0 "
-                        "(compiled slower than the interpreter)")
     if current["recycle_modeled_speedup_sketched"]["value"] < 1.5:
         failures.append("recycle_modeled_speedup_sketched < 1.5")
     if current["recycle_reductions_per_cycle_sketched"]["value"] > 1.0:

@@ -10,9 +10,6 @@ lint             ``scripts/lint_repro.py`` (determinism lint)         yes
 tier1            ``pytest -x -q`` (the tier-1 suite)                  yes
 slow             ``pytest -x -q -m slow`` (full conformance matrix)   no
 coverage         ``scripts/coverage_floor.py``                        no
-plan-equivalence compiled-vs-interpret execution plans: bit-identical yes
-                 ledger counts and iterates over representative
-                 solves (``cross_check_plan_modes``)
 perf-gates       quick microkernel + service + traffic benches     yes
                  with ``--check``, then ``scripts/bench_compare.py``
                  on their output (regression vs the bench
@@ -21,7 +18,7 @@ traffic          ``bench_traffic --quick --check`` twice: the       yes
                  bench's own p99 / rejection-rate / speedup gates,
                  plus byte-identical JSON across the two runs (the
                  seeded-traffic determinism contract)
-traffic-full     full (10^4-request) ``bench_traffic --check``,     no
+traffic-full     full (10^4-request) ``bench_traffic --check``,     yes
                  byte-compared with the committed
                  ``benchmarks/results/BENCH_traffic.json``: any
                  scheduler change that reorders a dispatch shows
@@ -73,11 +70,10 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SUMMARY = os.path.join(ROOT, "ci_summary.json")
-FAST_STAGES = ("lint", "tier1", "plan-equivalence", "perf-gates",
-               "traffic", "macro-gates", "trace-gate", "determinism")
-ALL_STAGES = ("lint", "tier1", "slow", "coverage", "plan-equivalence",
-              "perf-gates", "traffic", "traffic-full", "macro-gates",
-              "trace-gate", "determinism")
+FAST_STAGES = ("lint", "tier1", "perf-gates", "traffic", "traffic-full",
+               "macro-gates", "trace-gate", "determinism")
+ALL_STAGES = ("lint", "tier1", "slow", "coverage", "perf-gates", "traffic",
+              "traffic-full", "macro-gates", "trace-gate", "determinism")
 #: stages retried once on failure (shell out to bench subprocesses)
 BENCH_GATE_STAGES = ("perf-gates", "macro-gates")
 
@@ -99,7 +95,7 @@ def stages_for_paths(paths: list[str]) -> set[str]:
             needed |= {"lint", "tier1"}
         elif p.startswith("benchmarks/") or p == "scripts/bench_compare.py":
             needed |= {"lint", "tier1", "perf-gates", "traffic",
-                       "macro-gates"}
+                       "traffic-full", "macro-gates"}
         else:  # src/, scripts/ci.py, config files, anything unmapped
             return set(FAST_STAGES)
     return needed or set(FAST_STAGES)
@@ -152,59 +148,6 @@ def stage_slow() -> dict:
 def stage_coverage() -> dict:
     return _run([sys.executable, os.path.join(ROOT, "scripts",
                                               "coverage_floor.py")])
-
-
-def stage_plan_equivalence() -> dict:
-    """Compiled plans must be bit-identical twins of the interpreter.
-
-    Runs one representative solve per compiled surface — the block cycle
-    (bgmres), the recycled block cycle (gcrodr p>1), the pseudo-block
-    column path (gmres) and the GMRES-DR arena — under both
-    ``-hpddm_plan`` modes and asserts identical ``CostLedger.counts()``
-    and bitwise-equal solutions via ``cross_check_plan_modes`` (which
-    raises on any divergence).
-    """
-    import numpy as np
-    import scipy.sparse as sp
-
-    from repro import api
-    from repro.util import ledger
-    from repro.util.ledger import CostLedger
-    from repro.util.options import Options
-    from repro.verify import cross_check_plan_modes
-
-    n = 200
-    rng = np.random.default_rng(17)
-    a = sp.diags([-1.4 * np.ones(n - 1), 4.0 * np.ones(n),
-                  -0.6 * np.ones(n - 1)], [-1, 0, 1]).tocsr()
-    m = sp.diags(1.0 / a.diagonal()).tocsr()
-    workloads = {
-        "bgmres/cgs2_1r": (Options(krylov_method="bgmres",
-                                   orthogonalization="cgs2_1r",
-                                   gmres_restart=20), 3),
-        "gcrodr/sketched": (Options(krylov_method="gcrodr", recycle=5,
-                                    orthogonalization="sketched",
-                                    gmres_restart=20), 3),
-        "gmres/cholqr2": (Options(krylov_method="gmres",
-                                  orthogonalization="cholqr2",
-                                  gmres_restart=20), 2),
-        "gmresdr/cgs2_1r": (Options(krylov_method="gmresdr", recycle=5,
-                                    orthogonalization="cgs2_1r",
-                                    gmres_restart=20), 1),
-    }
-    outer = CostLedger()
-    for what, (opts, p) in workloads.items():
-        b = np.random.default_rng(3).standard_normal((n, p))
-
-        def run(plan, opts=opts, b=b):
-            res = api.solve(a, b, m, options=opts.replace(plan=plan))
-            outer.merge(ledger.current())
-            return res
-
-        cross_check_plan_modes(run, extract=lambda r: np.asarray(r.x),
-                               what=what)
-        print(f"plan-equivalence: {what}: counts + iterates bit-identical")
-    return {"ok": True, "modeled_seconds": _modeled_seconds(outer)}
 
 
 def stage_perf_gates() -> dict:
@@ -280,7 +223,7 @@ def stage_traffic_full() -> dict:
     The committed ``BENCH_traffic.json`` is the full (10^4-request) run;
     regenerating it must reproduce it byte for byte, so a scheduler
     change that moves one dispatch fails here.  About 20 s on two cores
-    with one BLAS thread; it runs in the nightly set.
+    with one BLAS thread.
     """
     committed = os.path.join(ROOT, "benchmarks", "results",
                              "BENCH_traffic.json")
@@ -435,7 +378,6 @@ STAGES = {
     "tier1": stage_tier1,
     "slow": stage_slow,
     "coverage": stage_coverage,
-    "plan-equivalence": stage_plan_equivalence,
     "perf-gates": stage_perf_gates,
     "traffic": stage_traffic,
     "traffic-full": stage_traffic_full,

@@ -24,16 +24,6 @@ trace/bench gates rely on:
     ledger charge in the same function.  Distributed-array ops are the
     costs the paper counts; silent ones undermine every gate downstream.
 
-``plan-ledger``
-    direct ledger-charging calls (``.flop`` / ``.reduction`` / ``.p2p``
-    / ``.event``) anywhere in ``src/repro/plan/`` outside ``ir.py``.
-    Plan-node bodies must charge exclusively through their pre-bound
-    :class:`NodeCost` specs (built from the ``CostTable`` at lowering
-    time) so the optimizer's charge-conservation proof and the
-    interpreter-oracle bit-identity contract stay airtight; a body that
-    reaches for the ledger directly re-derives costs at run time and
-    silently escapes both.
-
 False positives go in ``scripts/lint_allowlist.txt`` as
 ``<relpath>:<rule>`` (one per line, ``#`` comments allowed); a
 ``# lint: allow(<rule>)`` comment on the offending line also works.
@@ -75,13 +65,6 @@ SCANNED_DIRS = ("src", "tests", "benchmarks")
 CLOCK_EXEMPT = (os.path.join("src", "repro", "util", "ledger.py"),)
 CLOCK_EXEMPT_DIRS = ("benchmarks" + os.sep, "scripts" + os.sep)
 
-#: ledger primitives a plan-node body may NOT call directly — charging
-#: must flow through the pre-bound NodeCost specs built at lowering time
-PLAN_CHARGE_ATTRS = {"flop", "reduction", "p2p", "event"}
-PLAN_DIR = os.path.join("src", "repro", "plan") + os.sep
-#: ir.py hosts ChargeSpec.charge itself — the one sanctioned ledger caller
-PLAN_EXEMPT = (os.path.join("src", "repro", "plan", "ir.py"),)
-
 
 def _dotted(node: ast.AST) -> str:
     """Best-effort dotted name of an attribute/name chain."""
@@ -100,7 +83,6 @@ class _Visitor(ast.NodeVisitor):
         self.lines = source_lines
         self.findings: list[tuple[str, int, str]] = []
         self.in_distla = os.path.join("src", "repro", "distla") in rel
-        self.in_plan = rel.startswith(PLAN_DIR) and rel not in PLAN_EXEMPT
 
     # -- helpers -------------------------------------------------------
     def _flag(self, rule: str, node: ast.AST, msg: str) -> None:
@@ -132,13 +114,6 @@ class _Visitor(ast.NodeVisitor):
                 self._flag("wall-clock", node,
                            f"{name}() outside util/ledger.py — wall clock "
                            f"breaks determinism and trace replay")
-        if self.in_plan and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in PLAN_CHARGE_ATTRS:
-            self._flag("plan-ledger", node,
-                       f"direct ledger call {name}() in plan code — "
-                       f"plan nodes must charge only through their "
-                       f"pre-bound NodeCost specs (CostTable at lowering "
-                       f"time)")
         self.generic_visit(node)
 
     def _clock_allowed(self) -> bool:

@@ -33,7 +33,7 @@ from .service.cache import SetupCache
 from .service.fingerprint import operator_fingerprint
 from .util import ledger
 from .util.execmode import use_exec_mode
-from .util.misc import as_block
+from .util.misc import as_block, inputs_finite
 from .util.options import OptionError, Options
 from . import trace, verify
 
@@ -63,6 +63,9 @@ def solve(a, b, m=None, *, options: Options | None = None,
     hooks feed a single report, returned in ``result.info["verify"]``), and
     the reported final residual is cross-checked against ``||B - A X||``.
 
+    A non-finite ``b``, ``x0`` or shift raises :class:`ValueError` before
+    any work is done.
+
     >>> import scipy.sparse as sp, numpy as np
     >>> A = sp.diags([2.0] * 100)
     >>> b = np.ones(100)
@@ -70,6 +73,8 @@ def solve(a, b, m=None, *, options: Options | None = None,
     >>> bool(res.converged.all())
     True
     """
+    if not inputs_finite(b, x0, () if shifts is None else shifts):
+        raise ValueError("non-finite right-hand side, initial guess or shift")
     options = options or Options()
     if shifts is not None:
         if m is not None:

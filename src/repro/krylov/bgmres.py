@@ -93,8 +93,7 @@ def bgmres(a, b, m=None, *, options: Options | None = None,
                 max_steps=restart, ortho=options.orthogonalization,
                 qr_scheme=options.qr, deflation_tol=options.deflation_tol,
                 targets=targets, history=history, identity_m=identity_m,
-                iteration_budget=options.max_it - total_it,
-                plan=options.plan)
+                iteration_budget=options.max_it - total_it)
         total_it += state.steps
         breakdown_seen |= state.breakdown
         if state.steps == 0:

@@ -75,7 +75,6 @@ class CycleState:
     steps: int = 0
     breakdown: bool = False
     converged_early: bool = False
-    plan_stats: dict | None = None        # optimizer counters (compiled only)
     e0: np.ndarray | None = None          # C^H v1 seed projection (low-sync)
     sketch: object | None = None          # SketchState (sketched scheme only)
 
@@ -104,7 +103,6 @@ def block_arnoldi_cycle(op_apply, inner_m, v1: np.ndarray, s1: np.ndarray, *,
                         history: ConvergenceHistory | None = None,
                         identity_m: bool = False,
                         iteration_budget: int | None = None,
-                        plan: str = "interpret",
                         sck: np.ndarray | None = None,
                         ) -> CycleState:
     """Run up to ``max_steps`` block-Arnoldi iterations.
@@ -128,11 +126,6 @@ def block_arnoldi_cycle(op_apply, inner_m, v1: np.ndarray, s1: np.ndarray, *,
         optional convergence history to append per-iteration tail norms to.
     iteration_budget:
         remaining global iteration allowance (max_it enforcement).
-    plan:
-        ``"interpret"`` runs this loop; ``"compiled"`` lowers it to an
-        execution plan (``repro.plan``) for the low-synchronization
-        schemes — bit-identical counts and iterates, interpreter as
-        oracle.  Legacy schemes (cgs/imgs/mgs) always interpret.
     sck:
         pre-sketched recycled space ``S C_k`` maintained by the sketched
         recycler (``recycle_space="sketched"`` only).  When supplied, the
@@ -140,13 +133,6 @@ def block_arnoldi_cycle(op_apply, inner_m, v1: np.ndarray, s1: np.ndarray, *,
         ONE fused prologue reduction instead of two, and the seed
         coefficients are exposed as ``state.e0``.
     """
-    if plan == "compiled" and ortho in LOW_SYNC_SCHEMES:
-        from ..plan.block_cycle import compiled_block_arnoldi_cycle
-        return compiled_block_arnoldi_cycle(
-            op_apply, inner_m, v1, s1, max_steps=max_steps, ck=ck,
-            ortho=ortho, qr_scheme=qr_scheme, deflation_tol=deflation_tol,
-            targets=targets, history=history, identity_m=identity_m,
-            iteration_budget=iteration_budget, sck=sck)
     dtype = v1.dtype
     p = v1.shape[1]
     led = ledger.current()

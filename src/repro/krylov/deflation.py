@@ -22,8 +22,7 @@ import numpy as np
 from ..la.dense import hessenberg_harmonic_lhs, sorted_eig, sorted_generalized_eig
 
 __all__ = ["select_real_subspace", "harmonic_ritz_vectors",
-           "generalized_ritz_vectors", "sketched_harmonic_ritz_vectors",
-           "sketched_generalized_ritz_vectors"]
+           "generalized_ritz_vectors", "sketched_harmonic_ritz_vectors"]
 
 
 def select_real_subspace(vals: np.ndarray, vecs: np.ndarray, k: int,
@@ -112,27 +111,3 @@ def sketched_harmonic_ritz_vectors(hbar: np.ndarray, gv: np.ndarray, k: int, *,
     vals, vecs = sorted_generalized_eig(a_h, b_h, a_h.shape[0], target=target)
     return select_real_subspace(vals, vecs, k_eff, np.dtype(dtype))
 
-
-def sketched_generalized_ritz_vectors(gm: np.ndarray, gcv: np.ndarray,
-                                      w: np.ndarray, k: int, *,
-                                      dtype: np.dtype,
-                                      target: str = "smallest") -> np.ndarray:
-    """Restart-update Ritz vectors under the sketch inner product.
-
-    ``gcv = (S [C_k | V])^H (S [C_k | V])`` is the sketch Gram of the
-    augmented basis (local small-matrix work); the left-hand side becomes
-    ``T_s = G_m^H gcv G_m`` — the sketch-norm analogue of ``G_m^H G_m``.
-    Reduces to :func:`generalized_ritz_vectors` when the sketch is exact
-    and the basis truly orthonormal.
-
-    Not used by the sketched-recycling solver path: with the whitened
-    carrying, ``C_k`` and ``V`` are already sketch-orthonormal, and the
-    gcv weighting squares the embedding distortion — measured to
-    destabilize the subspace selection for ``k`` approaching ``m/2``
-    (``benchmarks/results/ablation_sketched_recycle.txt``).  Kept as the
-    reference formulation.
-    """
-    t = gm.conj().T @ (gcv @ gm)
-    k_eff = min(k, t.shape[0])
-    vals, vecs = sorted_generalized_eig(t, w, t.shape[0], target=target)
-    return select_real_subspace(vals, vecs, k_eff, np.dtype(dtype))

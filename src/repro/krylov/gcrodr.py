@@ -325,8 +325,7 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                     ortho=options.orthogonalization, qr_scheme=options.qr,
                     deflation_tol=options.deflation_tol, targets=targets,
                     history=history, identity_m=identity_m,
-                    iteration_budget=options.max_it - total_it,
-                    plan=options.plan)
+                    iteration_budget=options.max_it - total_it)
             total_it += state.steps
             cycles += 1
             breakdown_seen |= state.breakdown
@@ -420,8 +419,7 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                     ortho=options.orthogonalization, qr_scheme=options.qr,
                     deflation_tol=options.deflation_tol, targets=targets,
                     history=history, identity_m=identity_m,
-                    iteration_budget=options.max_it - total_it,
-                    plan=options.plan)
+                    iteration_budget=options.max_it - total_it)
             total_it += state.steps
             cycles += 1
             if state.steps == 0:
@@ -451,7 +449,6 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                     deflation_tol=options.deflation_tol, targets=targets,
                     history=history, identity_m=identity_m,
                     iteration_budget=options.max_it - total_it,
-                    plan=options.plan,
                     sck=skr.sc if sketched_mode else None)
             total_it += state.steps
             cycles += 1

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..la.blockqr import BlockHessenbergQR
-from ..plan.pseudoblock import make_pseudo_block_orthogonalizer
+from ..la.orthogonalization import PseudoBlockOrthogonalizer
 from ..trace import tracer as trace
 from ..util import ledger
 from ..util.ledger import Kernel
@@ -137,9 +137,9 @@ def gmres(a, b, m=None, *, options: Options | None = None,
                                       dtype=dtype)
                     for l in range(p)]
             col_iters = np.zeros(p, dtype=int)  # Arnoldi columns per RHS
-            orth = make_pseudo_block_orthogonalizer(
-                options.orthogonalization, plan=options.plan, n=n, p=p,
-                dtype=dtype, max_cols=restart + 1)
+            orth = PseudoBlockOrthogonalizer(
+                options.orthogonalization, n=n, p=p, dtype=dtype,
+                max_cols=restart + 1)
             orth.begin(v[:1])
 
             j = 0

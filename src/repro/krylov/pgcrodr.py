@@ -20,9 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..la.blockqr import BlockHessenbergQR
-from ..la.orthogonalization import SCHEMES
-from ..plan.arena import AugmentedTensorArena
-from ..plan.pseudoblock import make_pseudo_block_orthogonalizer
+from ..la.orthogonalization import SCHEMES, PseudoBlockOrthogonalizer
 from ..trace import tracer as trace
 from ..util import ledger
 from ..util.ledger import Kernel
@@ -232,16 +230,8 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
                    and any(col.c is not None for col in cols))
         kmax = max((col.k for col in cols if col.c is not None), default=0) \
             if fold_ck else 0
-        arena = None
-        if fold_ck and options.plan == "compiled":
-            # one tensor [C | V]: the per-step augmented projector becomes a
-            # contiguous prefix view instead of a concatenate copy
-            arena = AugmentedTensorArena(kmax, steps, n, p, dtype)
-            v, ck_blocks = arena.v, arena.ck
-        else:
-            v = np.zeros((steps + 1, n, p), dtype=dtype)
-            ck_blocks = np.zeros((kmax, n, p), dtype=dtype) if fold_ck \
-                else None
+        v = np.zeros((steps + 1, n, p), dtype=dtype)
+        ck_blocks = np.zeros((kmax, n, p), dtype=dtype) if fold_ck else None
         z = v if identity_m else np.zeros((steps, n, p), dtype=dtype)
         for l, col in enumerate(cols):
             col.active = (not converged[l]) and beta[l] > 0
@@ -272,9 +262,9 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
                     v[0, :, l] -= col.c @ (col.c.conj().T @ v[0, :, l])
             led.flop(Kernel.BLAS3, 4.0 * n * kmax * p)
             led.reduction(nbytes=p * kmax * v.itemsize)
-        orth = make_pseudo_block_orthogonalizer(
-            options.orthogonalization, plan=options.plan, n=n, p=p,
-            dtype=dtype, max_cols=steps + 1)
+        orth = PseudoBlockOrthogonalizer(
+            options.orthogonalization, n=n, p=p, dtype=dtype,
+            max_cols=steps + 1)
         orth.begin(v[:1])
 
         j = 0
@@ -291,9 +281,8 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
                     w = op_apply(zj)
                     with tr.span("ortho", scheme=options.orthogonalization):
                         if fold_ck:
-                            aug = arena.stacked(j) if arena is not None \
-                                else np.concatenate([ck_blocks, v[: j + 1]],
-                                                    axis=0)
+                            aug = np.concatenate([ck_blocks, v[: j + 1]],
+                                                 axis=0)
                             w, adots, nrm = orth.step(aug, w, kmax + j)
                             dots = adots[kmax:]
                             for l, col in enumerate(cols):

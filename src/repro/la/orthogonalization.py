@@ -148,8 +148,7 @@ def _chol_from_gram(x: np.ndarray, g: np.ndarray
     """Uncharged CholQR back half: factorize a precomputed Gram, whiten x.
 
     Raises :class:`numpy.linalg.LinAlgError` before any work when ``g`` is
-    numerically indefinite.  Shared with the compiled plan path
-    (``repro.plan``), whose nodes replay pre-bound charges instead.
+    numerically indefinite; the caller charges the ledger.
     """
     r = np.linalg.cholesky(g).conj().T
     q = sla.solve_triangular(r.T, x.T, lower=True).T
@@ -234,10 +233,10 @@ def cholqr_rr(x: np.ndarray, *, tol: float = 1e-12,
 
 def _cholqr_rr_core(x: np.ndarray, *, tol: float, scale: float | None = None
                     ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Uncharged rank-revealing CholQR numerics (shared with ``repro.plan``).
+    """Uncharged rank-revealing CholQR numerics (the caller charges them).
 
-    ``x`` must be contiguous for bitwise parity with the interpreted path:
-    the self-Gram ``x^H x`` takes NumPy's syrk dispatch only then.
+    The self-Gram ``x^H x`` takes NumPy's syrk dispatch only for a
+    contiguous ``x``; a strided view can round differently.
     """
     n, p = x.shape
     g = x.conj().T @ x
@@ -361,7 +360,7 @@ def sketch_size(n: int, max_cols: int) -> int:
 
 
 def _apply_sketch_core(w: np.ndarray, s: int, seed: int) -> np.ndarray:
-    """Uncharged SRHT application (shared with ``repro.plan``)."""
+    """Uncharged SRHT application (the caller charges it)."""
     from scipy.fft import dct
 
     n = w.shape[0]
@@ -659,7 +658,7 @@ def _chol_normalize_core(w2: np.ndarray, gram: np.ndarray, *, shift: bool
     """Uncharged Cholesky normalizer from a precomputed remainder Gram.
 
     Raises :class:`numpy.linalg.LinAlgError` before any work on an
-    indefinite Gram.  Shared with the compiled plan path.
+    indefinite Gram; the caller charges the ledger.
     """
     p = gram.shape[0]
     g = gram
@@ -942,10 +941,8 @@ def make_arnoldi_engine(scheme: str, *, tol: float = 1e-12,
 
 # ---------------------------------------------------------------------------
 # Pseudo-block per-step cores: the pure numerics of every scheme, with no
-# ledger access.  The interpreting PseudoBlockOrthogonalizer calls a core
-# and derives its charges per call; the compiled plan path
-# (repro.plan.pseudoblock) calls the *same* core and replays a pre-bound
-# charge table — bit-identical numerics and counts by construction.
+# ledger access.  PseudoBlockOrthogonalizer calls a core and derives its
+# charges per call.
 # ---------------------------------------------------------------------------
 
 

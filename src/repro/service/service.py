@@ -41,7 +41,7 @@ from ..krylov.recycling import RecycledSubspace
 from ..trace import tracer as trace
 from ..util import ledger
 from ..util.ledger import CostLedger
-from ..util.misc import as_block
+from ..util.misc import as_block, inputs_finite
 from ..util.options import Options
 from .cache import SetupCache
 from .fingerprint import Fingerprint, operator_fingerprint
@@ -82,9 +82,7 @@ class SolveRequest:
     def finite(self) -> bool:
         """Whether ``b``, ``x0`` and the shifts are all finite (one NaN
         column would stall the whole coalesced batch it joins)."""
-        return bool(np.isfinite(self.b).all()
-                    and (self.x0 is None or np.isfinite(self.x0).all())
-                    and np.isfinite(self.shifts).all())
+        return inputs_finite(self.b, self.x0, self.shifts)
 
 
 @functools.cache

@@ -11,6 +11,7 @@ import numpy as np
 __all__ = [
     "as_block",
     "column_norms",
+    "inputs_finite",
     "result_dtype",
     "is_complex_dtype",
     "default_rng",
@@ -85,6 +86,15 @@ def column_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", x.real, x.real) + (
         np.einsum("ij,ij->j", x.imag, x.imag) if np.iscomplexobj(x) else 0.0
     ))
+
+
+def inputs_finite(b, x0=None, shifts=()) -> bool:
+    """Whether a solve's right-hand side, initial guess and shifts are all
+    finite.  A NaN column never converges and an ``inf`` one can pass a
+    relative test falsely, so ``api.solve`` and the service reject both."""
+    return bool(np.isfinite(b).all()
+                and (x0 is None or np.isfinite(x0).all())
+                and np.isfinite(shifts).all())
 
 
 def result_dtype(*arrays: np.ndarray | np.dtype | type) -> np.dtype:

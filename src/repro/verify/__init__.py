@@ -6,7 +6,7 @@ See :mod:`repro.verify.checker` for the contract catalogue and levels.
 from .checker import (NULL_CHECKER, VERIFY_LEVELS, InvariantChecker,
                       InvariantViolation, NullChecker, activate, checker_for,
                       current)
-from .crosscheck import cross_check_exec_modes, cross_check_plan_modes
+from .crosscheck import cross_check_exec_modes
 
 __all__ = [
     "NULL_CHECKER",
@@ -18,5 +18,4 @@ __all__ = [
     "checker_for",
     "current",
     "cross_check_exec_modes",
-    "cross_check_plan_modes",
 ]

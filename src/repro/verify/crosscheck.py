@@ -1,14 +1,11 @@
-"""Fused-vs-per-rank and compiled-vs-interpret conservation cross-checks.
+"""Fused-vs-per-rank conservation cross-check.
 
-The fused execution engine (PR 1) is required to be a *pure* optimization:
-for any workload, the :class:`~repro.util.ledger.CostLedger` counts must be
+The fused execution engine is required to be a *pure* optimization: for
+any workload, the :class:`~repro.util.ledger.CostLedger` counts must be
 bit-identical between ``exec_mode="fused"`` and ``exec_mode="per_rank"``,
-and the numerics must agree to rounding.  The execution-plan compiler
-(``-hpddm_plan compiled``) carries the stronger contract — bit-identical
-counts *and* bit-identical iterates against the interpreter.  This module
-packages both equivalences as invariant checks so the conformance matrix
-(and users debugging a substrate or lowering change) can assert them for
-whole solves.
+and the numerics must agree to rounding.  This module packages that
+equivalence as an invariant check so the conformance matrix (and users
+debugging a substrate change) can assert it for whole solves.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from ..util.execmode import use_exec_mode
 from ..util.ledger import CostLedger
 from .checker import InvariantChecker
 
-__all__ = ["cross_check_exec_modes", "cross_check_plan_modes"]
+__all__ = ["cross_check_exec_modes"]
 
 
 def cross_check_exec_modes(fn: Callable[[], Any], *,
@@ -70,41 +67,3 @@ def cross_check_exec_modes(fn: Callable[[], Any], *,
             chk._record("exec_mode_numerics", gap, 0.0,
                         f"{what}: fused vs per_rank results diverge")
     return results["fused"], results["per_rank"]
-
-
-def cross_check_plan_modes(fn: Callable[[str], Any], *,
-                           checker: InvariantChecker | None = None,
-                           extract: Callable[[Any], np.ndarray] | None = None,
-                           what: str = "workload") -> tuple[Any, Any]:
-    """Run ``fn`` under both plan modes and assert the oracle contract.
-
-    ``fn`` takes the plan mode (``"interpret"`` / ``"compiled"``) — e.g.
-    ``lambda plan: solve(A, b, options=o.replace(plan=plan))`` — and is
-    invoked once per mode under a fresh ledger.  Unlike the exec-mode
-    cross-check, the compiled plan promises **bit-identical** iterates, so
-    the numeric comparison is exact (``np.array_equal``), not a tolerance.
-
-    Returns the two results ``(interpret_result, compiled_result)``.
-    """
-    chk = checker or InvariantChecker("full", context="cross-check")
-    results: dict[str, Any] = {}
-    ledgers: dict[str, CostLedger] = {}
-    for mode in ("interpret", "compiled"):
-        with ledger.install() as led:
-            results[mode] = fn(mode)
-        ledgers[mode] = led
-    chk.check_ledger_conservation(ledgers["interpret"], ledgers["compiled"],
-                                  what=what)
-    a, b = results["interpret"], results["compiled"]
-    if extract is not None:
-        a_arr, b_arr = np.asarray(extract(a)), np.asarray(extract(b))
-    elif isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        a_arr, b_arr = a, b
-    else:
-        a_arr = b_arr = None
-    if a_arr is not None and not np.array_equal(a_arr, b_arr):
-        gap = float(np.max(np.abs(a_arr - b_arr)))
-        chk._record("plan_mode_numerics", gap, 0.0,
-                    f"{what}: compiled plan iterates diverge from the "
-                    "interpreter (bit-identity contract)")
-    return results["interpret"], results["compiled"]

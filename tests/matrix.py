@@ -51,8 +51,6 @@ class Config:
     #: how the recycled pair travels: "full" (exact re-derivation) or
     #: "sketched" (sketch-whitened carrying, lazy repair)
     recycle_space: str = "full"
-    #: execution plan for the low-sync Arnoldi cycle
-    plan: str = "interpret"
     #: route the solve through the service front end: None = direct
     #: ``repro.solve``, "sync"/"async" = the matching ``make_service``
     service_mode: str | None = None
@@ -73,8 +71,6 @@ class Config:
             base += f"-{self.ortho}"
         if self.recycle_space != "full":
             base += f"-rs_{self.recycle_space}"
-        if self.plan != "interpret":
-            base += f"-{self.plan}"
         if self.service_mode is not None:
             base += f"-svc_{self.service_mode}"
         if self.shifts:
@@ -89,8 +85,6 @@ class Config:
             kw["recycle"] = 5
             kw["recycle_strategy"] = self.strategy
             kw["recycle_space"] = self.recycle_space
-        if self.plan != "interpret":
-            kw["plan"] = self.plan
         if self.service_mode is not None:
             kw["service_mode"] = self.service_mode
             if self.service_mode == "async":
@@ -150,11 +144,9 @@ def conformance_matrix(full: bool = False) -> list[Config]:
             add(Config("gmres", p=3, service_mode=mode))
             add(Config("gcrodr", p=3, service_mode=mode))
         # shifted-family axis: shared-basis and unprojected-recycled
-        # engines, interpret and compiled plans (families reject m)
+        # engines (families reject m)
         add(Config("bgmres", p=1, ortho="cgs2_1r", shifts=4, precond=False))
         add(Config("bgcrodr", p=1, ortho="cgs2_1r", shifts=4, precond=False))
-        add(Config("bgcrodr", p=1, ortho="cgs2_1r", shifts=4, precond=False,
-                   plan="compiled"))
         # sequence axis: an adaptive-dt heat sequence through both
         # service front ends (unchanged-fp steps must show zero setup
         # spans — see _assert_sequence_conforms)
@@ -193,27 +185,24 @@ def conformance_matrix(full: bool = False) -> list[Config]:
         for scheme in ("mgs", "imgs", "cgs2_1r", "cholqr2", "sketched"):
             add(Config(method, p=p, ortho=scheme))
             add(Config(method, p=p, ortho=scheme, exec_mode="per_rank"))
-    # recycle_space axis: both recyclers that carry (U_k, C_k) pairs, every
-    # exec mode x plan combination, both strategies on the block engine
+    # recycle_space axis: both recyclers that carry (U_k, C_k) pairs, both
+    # exec modes, both strategies on the block engine
     for method, p in (("gcrodr", 1), ("gcrodr", 3), ("bgcrodr", 3)):
         for mode in EXEC_MODES:
-            for plan in ("interpret", "compiled"):
-                add(Config(method, p=p, ortho="sketched",
-                           recycle_space="sketched", exec_mode=mode,
-                           plan=plan))
+            add(Config(method, p=p, ortho="sketched",
+                       recycle_space="sketched", exec_mode=mode))
     add(Config("gcrodr", p=1, ortho="sketched", recycle_space="sketched",
                strategy="B"))
     add(Config("bgcrodr", p=3, ortho="sketched", recycle_space="sketched",
                strategy="B"))
     add(Config("gcrodr", p=1, ortho="sketched", recycle_space="sketched",
                dtype=np.complex128))
-    # shifted-family axis: both engines x exec mode x plan, plus a
-    # complex-shift spot check
+    # shifted-family axis: both engines x exec mode, plus a complex-shift
+    # spot check
     for method in ("bgmres", "bgcrodr"):
         for mode in EXEC_MODES:
-            for plan in ("interpret", "compiled"):
-                add(Config(method, p=1, ortho="cgs2_1r", shifts=4,
-                           precond=False, exec_mode=mode, plan=plan))
+            add(Config(method, p=1, ortho="cgs2_1r", shifts=4,
+                       precond=False, exec_mode=mode))
     add(Config("bgmres", p=1, ortho="cgs2_1r", shifts=4, precond=False,
                dtype=np.complex128))
     add(Config("bgcrodr", p=1, ortho="cholqr2", shifts=8, precond=False))

@@ -76,7 +76,7 @@ def test_tests_only_diff_maps_to_lint_tier1(ci):
 def test_bench_diff_maps_to_bench_gates(ci):
     stages = ci.stages_for_paths(["benchmarks/bench_transient.py"])
     assert stages == {"lint", "tier1", "perf-gates", "traffic",
-                      "macro-gates"}
+                      "traffic-full", "macro-gates"}
     assert ci.stages_for_paths(["scripts/bench_compare.py"]) == stages
 
 

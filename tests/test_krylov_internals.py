@@ -44,6 +44,39 @@ class TestCompleteBlock:
         out = complete_block(q, 2)
         assert np.allclose(out.conj().T @ out, np.eye(3), atol=1e-10)
 
+    def test_skips_requr_when_no_against(self, rng):
+        """With no extra blocks the leading columns are used directly: the
+        fill is orthonormal and the leading columns come back bit-unchanged."""
+        q = np.zeros((20, 4))
+        q[:, :2], _ = np.linalg.qr(rng.standard_normal((20, 2)))
+        out = complete_block(q, 2)
+        assert np.allclose(out.conj().T @ out, np.eye(4), atol=1e-10)
+        assert np.array_equal(out[:, :2], q[:, :2])
+
+    def test_empty_against_entries(self, rng):
+        """Zero-width against blocks must not force the re-QR path."""
+        q = np.zeros((18, 3))
+        q[:, :2], _ = np.linalg.qr(rng.standard_normal((18, 2)))
+        ref = complete_block(q, 2)
+        out = complete_block(q, 2, against=[np.zeros((18, 0))])
+        assert np.array_equal(out, ref)
+
+    def test_rank_full_short_circuit(self, rng):
+        """rank == p returns the input unchanged without touching the RNG."""
+        q, _ = np.linalg.qr(rng.standard_normal((15, 3)))
+        out = complete_block(q, 3)
+        assert out is q
+
+    def test_with_against_blocks(self, rng):
+        """The fill is orthonormal as a whole block and orthogonal to the
+        extra blocks."""
+        q = np.zeros((25, 3))
+        q[:, :1], _ = np.linalg.qr(rng.standard_normal((25, 1)))
+        extra, _ = np.linalg.qr(rng.standard_normal((25, 2)))
+        out = complete_block(q, 1, against=[extra])
+        assert np.allclose(out.conj().T @ out, np.eye(3), atol=1e-10)
+        assert np.max(np.abs(extra.conj().T @ out[:, 1:])) < 1e-10
+
 
 class TestBlockArnoldiCycle:
     def test_arnoldi_relation(self, rng):

@@ -117,6 +117,46 @@ class TestDegenerateInputs:
         assert relative_residuals(a, res.x, b)[0] < 1e-9
 
 
+class TestNonFiniteInput:
+    """``api.solve`` rejects a NaN/inf right-hand side, initial guess or
+    shift up front: a NaN column used to spin the GMRES restart loop
+    forever and an ``inf`` one reported false convergence."""
+
+    N = 400
+
+    @staticmethod
+    def _operator(n: int) -> sp.csr_matrix:
+        return sp.diags([-np.ones(n - 1), 3.0 * np.ones(n),
+                         -np.ones(n - 1)], [-1, 0, 1]).tocsr()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("method,extra,shifts", [
+        ("gmres", {}, None),
+        ("bgmres", {}, None),
+        ("gcrodr", {"recycle": 5}, None),
+        ("bgmres", {}, [0.1, 0.2]),
+    ], ids=["gmres", "bgmres", "gcrodr", "shifted"])
+    def test_non_finite_rhs_rejected(self, rng, bad, method, extra, shifts):
+        b = rng.standard_normal((self.N, 2))
+        b[7, 1] = bad
+        opts = Options(krylov_method=method, max_it=200, **extra)
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(self._operator(self.N), b, options=opts, shifts=shifts)
+
+    def test_non_finite_x0_and_shift_rejected(self, rng):
+        a = self._operator(50)
+        b = rng.standard_normal(50)
+        x0 = np.zeros(50)
+        x0[3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(a, b, x0=x0)
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(a, b, shifts=[0.1, np.inf])
+        with pytest.raises(ValueError, match="non-finite"):
+            Solver(options=Options(krylov_method="gcrodr",
+                                   recycle=5)).solve(a, b * np.inf)
+
+
 class TestSequenceRobustness:
     def test_alternating_operators(self, rng):
         """Solver must re-detect same-system correctly when A alternates."""

@@ -161,6 +161,14 @@ class TestCheckerCore:
         with pytest.raises(InvariantViolation):
             chk.check_ledger_conservation(a, b)
 
+    def test_ledger_conservation_collects_without_raise(self):
+        chk = InvariantChecker("full", raise_on_violation=False)
+        led_a, led_b = ledger.CostLedger(), ledger.CostLedger()
+        led_a.flop("blas3", 100.0)
+        chk.check_ledger_conservation(led_a, led_b, what="tampered")
+        assert chk.violations and \
+            chk.violations[0]["name"] == "ledger_conservation"
+
     def test_checks_do_not_pollute_ledger(self, rng):
         q, _ = np.linalg.qr(rng.standard_normal((40, 6)))
         with ledger.install() as led:
